@@ -467,6 +467,21 @@ func BenchmarkSimKernelScheduleFire(b *testing.B) {
 	}
 }
 
+// BenchmarkPlatformNew measures building one default platform: the 2 TiB
+// device with its flash array, FTL, NVMe queue pair and CSE, the host and
+// the interconnect. Every sample run, static-search candidate and
+// experiment arm builds one, so B/op and allocs/op are the per-platform
+// build cost.
+func BenchmarkPlatformNew(b *testing.B) {
+	cfg := platform.DefaultConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		platformSink = platform.New(cfg)
+	}
+}
+
+var platformSink *platform.Platform
+
 // BenchmarkBenchsuiteSweep measures the experiment sweep the way
 // cmd/benchsuite runs it with -exp all: independent harnesses fanned out
 // on one pool (which also threads into each harness's own workload

@@ -119,16 +119,17 @@ func (e *executor) compute(rec *interp.LineRecord, unit Unit, done func()) {
 		return
 	}
 	// Data-parallel: split across the unit's cores, complete when the
-	// slowest shard finishes.
+	// slowest shard finishes. Every shard shares one completion callback.
 	cores := res.Cores()
 	remaining := cores
 	shard := work / float64(cores)
+	shardDone := func(_, _ sim.Time) {
+		remaining--
+		if remaining == 0 {
+			kernelDone()
+		}
+	}
 	for i := 0; i < cores; i++ {
-		res.Submit(shard, func(_, _ sim.Time) {
-			remaining--
-			if remaining == 0 {
-				kernelDone()
-			}
-		})
+		res.Submit(shard, shardDone)
 	}
 }

@@ -25,9 +25,16 @@ type FTL struct {
 
 	// map[logicalPage]physicalPage, physical = block*pagesPerBlk + slot
 	l2p map[int64]int64
-	// validCount[block] = live pages in that block; -1 marks erased/free
+	// Per-block state exists only for blocks in [0, fresh): blocks open
+	// in index order, so validCount and owner grow by append as the
+	// fresh cursor advances, and a block never written costs nothing.
+	// validCount[block] = live pages in that block; -1 marks erased/free.
 	validCount []int
 	owner      [][]int64 // owner[block][slot] = logical page or -1
+	fresh      int64     // blocks [fresh, totalBlocks) have never been opened
+	// freeBlocks holds reclaimed blocks in reclaim order. They are reused
+	// only once every fresh block has been opened — the order a free list
+	// seeded with every block in index order would produce.
 	freeBlocks []int64
 	openBlock  int64
 	openSlot   int
@@ -37,7 +44,8 @@ type FTL struct {
 	gcMoved    uint64
 }
 
-// NewFTL builds an FTL spanning the array's full geometry.
+// NewFTL builds an FTL spanning the array's full geometry. Only the first
+// block is materialized; the rest are allocated as writes reach them.
 func NewFTL(s *sim.Sim, a *Array) *FTL {
 	g := a.Geometry()
 	f := &FTL{
@@ -46,28 +54,36 @@ func NewFTL(s *sim.Sim, a *Array) *FTL {
 		pagesPerBlk: g.PagesPerBlk,
 		totalBlocks: g.Blocks,
 		l2p:         make(map[int64]int64),
-		validCount:  make([]int, g.Blocks),
-		owner:       make([][]int64, g.Blocks),
 		gcLowWater:  4,
-	}
-	for b := int64(0); b < g.Blocks; b++ {
-		f.validCount[b] = -1
-		f.freeBlocks = append(f.freeBlocks, b)
 	}
 	f.openNext()
 	return f
 }
 
+// freeCount is the number of erased blocks available to open.
+func (f *FTL) freeCount() int {
+	return int(f.totalBlocks-f.fresh) + len(f.freeBlocks)
+}
+
 func (f *FTL) openNext() {
-	if len(f.freeBlocks) == 0 {
+	switch {
+	case f.fresh < f.totalBlocks:
+		f.openBlock = f.fresh
+		f.fresh++
+		owner := make([]int64, f.pagesPerBlk)
+		for i := range owner {
+			owner[i] = -1
+		}
+		f.validCount = append(f.validCount, 0)
+		f.owner = append(f.owner, owner)
+	case len(f.freeBlocks) > 0:
+		// A reclaimed block keeps its owner slice: collect leaves every
+		// slot at -1, so it is ready to reuse as is.
+		f.openBlock = f.freeBlocks[0]
+		f.freeBlocks = f.freeBlocks[1:]
+		f.validCount[f.openBlock] = 0
+	default:
 		panic("flash: FTL out of free blocks (GC failed to reclaim)")
-	}
-	f.openBlock = f.freeBlocks[0]
-	f.freeBlocks = f.freeBlocks[1:]
-	f.validCount[f.openBlock] = 0
-	f.owner[f.openBlock] = make([]int64, f.pagesPerBlk)
-	for i := range f.owner[f.openBlock] {
-		f.owner[f.openBlock][i] = -1
 	}
 	f.openSlot = 0
 }
@@ -91,7 +107,7 @@ func (f *FTL) WritePage(lp int64) int64 {
 	f.validCount[f.openBlock]++
 	f.openSlot++
 	f.l2p[lp] = pp
-	if len(f.freeBlocks) < f.gcLowWater {
+	if f.freeCount() < f.gcLowWater {
 		f.collect()
 	}
 	return pp
@@ -122,7 +138,7 @@ func (f *FTL) Trim(lp int64) {
 func (f *FTL) collect() {
 	victim := int64(-1)
 	best := f.pagesPerBlk + 1
-	for b := int64(0); b < f.totalBlocks; b++ {
+	for b := int64(0); b < f.fresh; b++ {
 		if b == f.openBlock || f.validCount[b] < 0 {
 			continue
 		}
@@ -160,13 +176,12 @@ func (f *FTL) collect() {
 	f.gcMoved += uint64(moved)
 	f.array.Erase(nil)
 	f.validCount[victim] = -1
-	f.owner[victim] = nil
 	f.freeBlocks = append(f.freeBlocks, victim)
 }
 
 // Stats returns GC activity counters.
 func (f *FTL) Stats() (gcRuns, pagesMoved uint64, freeBlocks int) {
-	return f.gcRuns, f.gcMoved, len(f.freeBlocks)
+	return f.gcRuns, f.gcMoved, f.freeCount()
 }
 
 // MappedPages returns the number of live logical pages.
@@ -174,5 +189,5 @@ func (f *FTL) MappedPages() int { return len(f.l2p) }
 
 // String summarizes the FTL state.
 func (f *FTL) String() string {
-	return fmt.Sprintf("ftl{mapped=%d free=%d gc=%d}", len(f.l2p), len(f.freeBlocks), f.gcRuns)
+	return fmt.Sprintf("ftl{mapped=%d free=%d gc=%d}", len(f.l2p), f.freeCount(), f.gcRuns)
 }

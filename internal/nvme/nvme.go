@@ -281,7 +281,9 @@ func (q *QueuePair) issue(p pending) {
 	if timeout > 0 {
 		is.timer = q.sim.AfterNamed(timeout, "nvme-timeout", func() { q.expire(is) })
 	}
-	// SQE + doorbell crossing to the device.
+	// SQE + doorbell crossing to the device. The callbacks below read the
+	// command through is rather than capturing p, so none of them holds
+	// its own copy of the pending entry.
 	q.link.Transfer(SQESize, func(_, arrive sim.Time) {
 		if is.settled {
 			return // host aborted while the SQE was on the wire
@@ -292,7 +294,7 @@ func (q *QueuePair) issue(p pending) {
 			q.lost++
 			return
 		}
-		q.handler(p.cmd, p.when, func(c Completion) {
+		q.handler(is.p.cmd, is.p.when, func(c Completion) {
 			if is.settled {
 				return // late completion of an aborted command: discarded
 			}
@@ -300,7 +302,7 @@ func (q *QueuePair) issue(p pending) {
 				q.dropped++
 				return
 			}
-			c.Submitted = p.when
+			c.Submitted = is.p.when
 			if c.Started == 0 {
 				c.Started = arrive
 			}
@@ -315,14 +317,14 @@ func (q *QueuePair) issue(p pending) {
 				}
 				q.settle(is)
 				if rec := q.sim.Recorder(); rec != nil {
-					rec.Span("nvme", "nvme", p.cmd.Opcode.String(), p.when, landed,
+					rec.Span("nvme", "nvme", is.p.cmd.Opcode.String(), is.p.when, landed,
 						trace.Arg{Key: "status", Value: c.Status},
-						trace.Arg{Key: "attempt", Value: p.attempt + 1})
+						trace.Arg{Key: "attempt", Value: is.p.attempt + 1})
 				}
 				c.Completed = landed
 				q.completed++
-				if p.done != nil {
-					p.done(c)
+				if is.p.done != nil {
+					is.p.done(c)
 				}
 			})
 		})

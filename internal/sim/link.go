@@ -25,6 +25,37 @@ type Link struct {
 	totalBytes     float64
 	totalTransfers uint64
 	busyIntegral   float64
+
+	// free recycles transfer records; see the handle contract on transfer.
+	free []*transfer
+}
+
+// transfer is one in-flight message and its own arrival target, so
+// scheduling the arrival allocates no closure. A record goes back on its
+// Link's free list as it fires — its fields copied out first, because
+// done may re-enter Transfer — so nothing outside the Link holds one.
+type transfer struct {
+	link       *Link
+	bytes      float64
+	start, end Time
+	tracked    bool // a recorder was attached when the transfer began
+	done       func(start, end Time)
+}
+
+func (x *transfer) fire() {
+	l, bytes, start, end, tracked, done := x.link, x.bytes, x.start, x.end, x.tracked, x.done
+	*x = transfer{}
+	l.free = append(l.free, x)
+	if tracked {
+		l.bytesInflight -= bytes
+		if rec := l.sim.rec; rec != nil {
+			rec.Sample(l.ctrInflight, "bytes", l.name, end, l.bytesInflight)
+			rec.Span(l.name, "link", "xfer", start, end, trace.Arg{Key: "bytes", Value: bytes})
+		}
+	}
+	if done != nil {
+		done(start, end)
+	}
 }
 
 // NewLink creates a link with the given bandwidth (bytes/second) and
@@ -69,18 +100,9 @@ func (l *Link) Transfer(bytes float64, done func(start, end Time)) {
 		l.bytesInflight += bytes
 		l.sim.rec.Sample(l.ctrInflight, "bytes", l.name, now, l.bytesInflight)
 	}
-	l.sim.At(end, func() {
-		if tracked {
-			l.bytesInflight -= bytes
-			if rec := l.sim.rec; rec != nil {
-				rec.Sample(l.ctrInflight, "bytes", l.name, end, l.bytesInflight)
-				rec.Span(l.name, "link", "xfer", start, end, trace.Arg{Key: "bytes", Value: bytes})
-			}
-		}
-		if done != nil {
-			done(start, end)
-		}
-	})
+	x := reuse(&l.free)
+	*x = transfer{link: l, bytes: bytes, start: start, end: end, tracked: tracked, done: done}
+	l.sim.atTarget(end, x)
 }
 
 // TransferTime returns the unloaded duration of moving `bytes`, without

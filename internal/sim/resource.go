@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/list"
-	"fmt"
-)
+import "fmt"
 
 // Resource models a compute unit: a bank of identical servers (cores) that
 // drain abstract "work units" at a fixed per-core rate. The CSE inside a
@@ -27,9 +24,16 @@ type Resource struct {
 	ctrBusy  string
 	ctrQueue string
 
-	busy    int
-	queue   *list.List // of *job, FIFO
-	inFly   map[*job]struct{}
+	busy int
+	// queue holds waiting jobs FIFO in queue[qhead:].
+	queue []*job
+	qhead int
+	// inFly holds the jobs being served in start order; each job stores
+	// its index, so removal needs no search. Rebooking walks this slice,
+	// so rebooked completions take their tie-break seq in start order.
+	inFly []*job
+	// free recycles job structs; see the handle contract on job.
+	free    []*job
 	donated float64 // total work completed, for perf counters
 
 	// stats
@@ -39,6 +43,11 @@ type Resource struct {
 	lastStatAt   Time
 }
 
+// job is one submitted unit of work. It is its own completion target, so
+// booking a completion allocates no closure. Jobs are recycled on their
+// Resource's free list the moment they finish — before done runs, since
+// done may re-enter Submit — so a *job is valid only from Submit to
+// finishJob and nothing outside the Resource ever holds one.
 type job struct {
 	work      float64 // remaining work units
 	updatedAt Time    // when `work` was last current
@@ -46,7 +55,10 @@ type job struct {
 	start     Time
 	event     *Event
 	res       *Resource
+	idx       int // position in res.inFly while in service
 }
+
+func (j *job) fire() { j.res.finishJob(j) }
 
 // NewResource creates a resource with the given core count and per-core
 // service rate (work units per second). Availability starts at 1.
@@ -62,8 +74,6 @@ func NewResource(s *Sim, name string, cores int, ratePerCore float64) *Resource 
 		availability: 1,
 		ctrBusy:      name + ".busy_cores",
 		ctrQueue:     name + ".queue_depth",
-		queue:        list.New(),
-		inFly:        make(map[*job]struct{}),
 	}
 }
 
@@ -100,7 +110,7 @@ func (r *Resource) SetAvailability(frac float64) {
 	old := r.effectiveRate()
 	r.availability = frac
 	now := r.sim.Now()
-	for j := range r.inFly {
+	for _, j := range r.inFly {
 		elapsed := now - j.updatedAt
 		credit := elapsed * old
 		if credit > j.work {
@@ -121,15 +131,43 @@ func (r *Resource) Submit(work float64, done func(start, end Time)) {
 	if work < 0 {
 		panic(fmt.Sprintf("sim: resource %q negative work %v", r.name, work))
 	}
-	j := &job{work: work, done: done, res: r}
+	j := reuse(&r.free)
+	*j = job{work: work, done: done, res: r}
 	r.totalJobs++
 	r.totalWork += work
 	if r.busy < r.cores {
 		r.startJob(j)
 	} else {
-		r.queue.PushBack(j)
-		r.sim.rec.Sample(r.ctrQueue, "jobs", r.name, r.sim.Now(), float64(r.queue.Len()))
+		r.enqueue(j)
+		r.sim.rec.Sample(r.ctrQueue, "jobs", r.name, r.sim.Now(), float64(r.QueueLen()))
 	}
+}
+
+// enqueue appends j to the wait queue, sliding the live window down to
+// the front of the backing array when it is full rather than growing it.
+func (r *Resource) enqueue(j *job) {
+	if r.qhead > 0 && len(r.queue) == cap(r.queue) {
+		n := copy(r.queue, r.queue[r.qhead:])
+		clear(r.queue[n:])
+		r.queue = r.queue[:n]
+		r.qhead = 0
+	}
+	r.queue = append(r.queue, j)
+}
+
+// dequeue pops the oldest waiting job, or returns nil when none waits.
+func (r *Resource) dequeue() *job {
+	if r.qhead == len(r.queue) {
+		return nil
+	}
+	j := r.queue[r.qhead]
+	r.queue[r.qhead] = nil
+	r.qhead++
+	if r.qhead == len(r.queue) {
+		r.queue = r.queue[:0]
+		r.qhead = 0
+	}
+	return j
 }
 
 // Utilization returns average busy cores divided by total cores from time
@@ -148,14 +186,14 @@ func (r *Resource) Utilization() float64 {
 func (r *Resource) CompletedWork() float64 {
 	total := r.donated
 	now := r.sim.Now()
-	for j := range r.inFly {
+	for _, j := range r.inFly {
 		total += (now - j.updatedAt) * r.effectiveRate()
 	}
 	return total
 }
 
 // QueueLen returns the number of jobs waiting for a server.
-func (r *Resource) QueueLen() int { return r.queue.Len() }
+func (r *Resource) QueueLen() int { return len(r.queue) - r.qhead }
 
 // InFlight returns the number of jobs currently being served.
 func (r *Resource) InFlight() int { return r.busy }
@@ -171,32 +209,46 @@ func (r *Resource) startJob(j *job) {
 	r.busy++
 	j.start = r.sim.Now()
 	j.updatedAt = j.start
-	r.inFly[j] = struct{}{}
+	j.idx = len(r.inFly)
+	r.inFly = append(r.inFly, j)
 	r.bookCompletion(j)
 	r.sim.rec.Sample(r.ctrBusy, "cores", r.name, j.start, float64(r.busy))
 }
 
 func (r *Resource) bookCompletion(j *job) {
 	dur := j.work / r.effectiveRate()
-	j.event = r.sim.After(dur, func() { r.finishJob(j) })
+	j.event = r.sim.atTarget(r.sim.Now()+dur, j)
 }
 
 func (r *Resource) finishJob(j *job) {
 	r.accountBusy()
 	now := r.sim.Now()
 	r.donated += (now - j.updatedAt) * r.effectiveRate()
-	delete(r.inFly, j)
+	r.removeInFly(j)
 	r.busy--
 	if rec := r.sim.rec; rec != nil {
 		rec.Span(r.name, "compute", "job", j.start, now)
 		rec.Sample(r.ctrBusy, "cores", r.name, now, float64(r.busy))
 	}
-	if front := r.queue.Front(); front != nil {
-		r.queue.Remove(front)
-		r.startJob(front.Value.(*job))
-		r.sim.rec.Sample(r.ctrQueue, "jobs", r.name, now, float64(r.queue.Len()))
+	if next := r.dequeue(); next != nil {
+		r.startJob(next)
+		r.sim.rec.Sample(r.ctrQueue, "jobs", r.name, now, float64(r.QueueLen()))
 	}
-	if j.done != nil {
-		j.done(j.start, now)
+	done, start := j.done, j.start
+	*j = job{}
+	r.free = append(r.free, j)
+	if done != nil {
+		done(start, now)
+	}
+}
+
+// removeInFly drops j from the in-service list, keeping the rest in start
+// order.
+func (r *Resource) removeInFly(j *job) {
+	copy(r.inFly[j.idx:], r.inFly[j.idx+1:])
+	r.inFly[len(r.inFly)-1] = nil
+	r.inFly = r.inFly[:len(r.inFly)-1]
+	for i := j.idx; i < len(r.inFly); i++ {
+		r.inFly[i].idx = i
 	}
 }

@@ -39,7 +39,16 @@ type Event struct {
 	seq      uint64
 	name     string
 	fn       func()
+	tgt      target // fired instead of fn when fn is nil
 	canceled bool
+}
+
+// target is a typed event callback. A model that schedules the same kind
+// of completion over and over (a resource's job, a link's transfer) keeps
+// its per-completion state in a recycled struct that implements target,
+// so scheduling the completion allocates no closure.
+type target interface {
+	fire()
 }
 
 // At reports the simulated time the event is scheduled for.
@@ -175,25 +184,39 @@ func (s *Sim) AtNamed(t Time, name string, fn func()) *Event {
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		panic(fmt.Sprintf("sim: scheduling event at non-finite time %v", t))
 	}
-	var e *Event
-	if n := len(s.free); n > 0 {
-		e = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		*e = Event{at: t, seq: s.seq, name: name, fn: fn}
-	} else {
-		e = &Event{at: t, seq: s.seq, name: name, fn: fn}
-	}
+	e := reuse(&s.free)
+	*e = Event{at: t, seq: s.seq, name: name, fn: fn}
 	s.seq++
 	s.events.push(e)
 	return e
 }
 
+// atTarget schedules tgt.fire at absolute simulated time t; see AtNamed.
+func (s *Sim) atTarget(t Time, tgt target) *Event {
+	e := s.AtNamed(t, "", nil)
+	e.tgt = tgt
+	return e
+}
+
+// reuse pops a recycled struct off a free list, or allocates a fresh one
+// when the list is empty. The caller overwrites every field.
+func reuse[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
+	}
+	x := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return x
+}
+
 // recycle returns a disposed event to the free list. The callback
-// reference is dropped eagerly so the free list never pins closures (and
-// whatever they capture) across runs.
+// references are dropped eagerly so the free list never pins closures or
+// targets (and whatever they capture) across runs.
 func (s *Sim) recycle(e *Event) {
 	e.fn = nil
+	e.tgt = nil
 	s.free = append(s.free, e)
 }
 
@@ -228,7 +251,11 @@ func (s *Sim) Step() bool {
 			}
 			s.tracer(s.now, msg)
 		}
-		e.fn()
+		if e.fn != nil {
+			e.fn()
+		} else {
+			e.tgt.fire()
+		}
 		s.recycle(e)
 		return true
 	}

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"activego/internal/trace"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -347,5 +349,180 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state schedule+fire allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestResourceRebookOrderDeterministic pins the tie-break of rebooked
+// completions: eight identical jobs on eight cores all finish at the same
+// instant after a mid-run availability change, so the order their done
+// callbacks fire in is decided by the seq each rebooking takes. Rebooking
+// walks the in-service jobs in start order, so done fires in submission
+// order in every trial.
+func TestResourceRebookOrderDeterministic(t *testing.T) {
+	for trial := 0; trial < 200; trial++ {
+		s := New()
+		r := NewResource(s, "r", 8, 100)
+		var order []int
+		for i := 0; i < 8; i++ {
+			r.Submit(100, func(_, _ Time) { order = append(order, i) })
+		}
+		s.At(0.5, func() { r.SetAvailability(0.5) })
+		s.Run()
+		if len(order) != 8 {
+			t.Fatalf("trial %d: %d completions, want 8", trial, len(order))
+		}
+		for i, got := range order {
+			if got != i {
+				t.Fatalf("trial %d: completion order %v, want submission order", trial, order)
+			}
+		}
+	}
+}
+
+// TestResourceRebookWithRecycledJobs changes availability mid-job on jobs
+// that reuse recycled structs, including one submitted from another job's
+// done callback. Each rebooking must cancel the old completion and land
+// at the rescaled time, and every done must fire exactly once.
+func TestResourceRebookWithRecycledJobs(t *testing.T) {
+	s := New()
+	r := NewResource(s, "r", 1, 100)
+	r.Submit(100, nil) // prime the job free list
+	s.Run()
+	if len(r.free) != 1 {
+		t.Fatalf("job free list has %d entries after one job, want 1", len(r.free))
+	}
+	recycled := r.free[0]
+
+	t0 := s.Now()
+	var ends []Time
+	r.Submit(100, func(_, en Time) {
+		ends = append(ends, en)
+		// Re-enter: the finished job is already back on the free list, so
+		// this submission reuses it.
+		r.Submit(100, func(_, en Time) { ends = append(ends, en) })
+	})
+	if len(r.free) != 0 || r.inFly[0] != recycled {
+		t.Fatal("submit after a completion did not reuse the recycled job")
+	}
+	// First job: 50 units by t0+0.5, the rest at half rate -> t0+1.5.
+	s.At(t0+0.5, func() { r.SetAvailability(0.5) })
+	// Second job starts at t0+1.5 at half rate: 25 units by t0+2, the
+	// remaining 75 at full rate -> t0+2.75.
+	s.At(t0+2, func() { r.SetAvailability(1) })
+	s.Run()
+	want := []Time{t0 + 1.5, t0 + 2.75}
+	if len(ends) != len(want) {
+		t.Fatalf("%d completions %v, want %v", len(ends), ends, want)
+	}
+	for i := range want {
+		if d := ends[i] - want[i]; d < -1e-9 || d > 1e-9 {
+			t.Errorf("job %d ended at %v, want %v", i, ends[i], want[i])
+		}
+	}
+	if got := r.CompletedWork(); got < 300-1e-6 || got > 300+1e-6 {
+		t.Errorf("completed work %v, want 300", got)
+	}
+	if r.InFlight() != 0 || r.QueueLen() != 0 || len(r.inFly) != 0 {
+		t.Errorf("resource not drained: %d in flight, %d queued", r.InFlight(), r.QueueLen())
+	}
+}
+
+// TestResourceSteadyStateAllocFree: once the job and event free lists are
+// primed, a queued Submit and its completion allocate nothing.
+func TestResourceSteadyStateAllocFree(t *testing.T) {
+	s := New()
+	r := NewResource(s, "r", 2, 100)
+	done := func(_, _ Time) {}
+	for i := 0; i < 4; i++ { // two in service, two queued
+		r.Submit(100, done)
+	}
+	s.Run()
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 4; i++ {
+			r.Submit(100, done)
+		}
+		s.Run()
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state Submit+fire allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestLinkSteadyStateAllocFree: once the transfer and event free lists
+// are primed, Transfer and its arrival allocate nothing.
+func TestLinkSteadyStateAllocFree(t *testing.T) {
+	s := New()
+	l := NewLink(s, "l", 1000, 0.001)
+	done := func(_, _ Time) {}
+	l.Transfer(100, done)
+	l.Transfer(100, done)
+	s.Run()
+	allocs := testing.AllocsPerRun(100, func() {
+		l.Transfer(100, done)
+		l.Transfer(100, done)
+		s.Run()
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state Transfer+fire allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestRecycledPathsTracedEqualsUntraced runs the same mixed resource and
+// link schedule — re-entrant submissions and transfers, a mid-run
+// availability change — with and without a recorder. Recording must not
+// perturb any completion, and the traced run must account for every
+// transfer's bytes.
+func TestRecycledPathsTracedEqualsUntraced(t *testing.T) {
+	run := func(rec *trace.Recorder) ([]Time, *Link) {
+		s := New()
+		s.SetRecorder(rec)
+		r := NewResource(s, "r", 2, 100)
+		l := NewLink(s, "l", 1000, 0.001)
+		var ends []Time
+		var step func(i int)
+		step = func(i int) {
+			if i == 0 {
+				return
+			}
+			r.Submit(float64(10*i), func(_, en Time) {
+				ends = append(ends, en)
+				l.Transfer(float64(50*i), func(_, en Time) {
+					ends = append(ends, en)
+					step(i - 1)
+				})
+			})
+		}
+		for k := 0; k < 3; k++ {
+			step(6)
+		}
+		s.At(0.3, func() { r.SetAvailability(0.4) })
+		s.Run()
+		return ends, l
+	}
+	plain, _ := run(nil)
+	rec := trace.New()
+	traced, l := run(rec)
+	if len(plain) != len(traced) {
+		t.Fatalf("traced run completed %d operations, untraced %d", len(traced), len(plain))
+	}
+	for i := range plain {
+		if plain[i] != traced[i] {
+			t.Fatalf("completion %d: traced %v, untraced %v", i, traced[i], plain[i])
+		}
+	}
+	var xfers int
+	var bytes float64
+	for _, sp := range rec.Spans() {
+		if sp.Name == "xfer" {
+			xfers++
+			bytes += sp.Args[0].Value.(float64)
+		}
+	}
+	if xfers != len(plain)/2 {
+		t.Errorf("traced run recorded %d transfer spans, want %d", xfers, len(plain)/2)
+	}
+	if bytes != l.TotalBytes() || l.bytesInflight != 0 {
+		t.Errorf("transfer spans carry %v bytes of %v moved, %v still in flight; want all landed",
+			bytes, l.TotalBytes(), l.bytesInflight)
 	}
 }
